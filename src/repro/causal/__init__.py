@@ -1,7 +1,7 @@
 """Observational causal inference: ATE/CATE estimation with backdoor adjustment."""
 
 from repro.causal.effects import EffectEstimate
-from repro.causal.ols import OLSResult, ols_fit
+from repro.causal.ols import SOLVER_VERSION, OLSResult, ols_fit
 from repro.causal.estimators import (
     BoundSubpopulation,
     CATEEstimator,
@@ -21,6 +21,7 @@ __all__ = [
     "EffectEstimate",
     "OLSResult",
     "ols_fit",
+    "SOLVER_VERSION",
     "BoundSubpopulation",
     "CATEEstimator",
     "naive_difference_in_means",

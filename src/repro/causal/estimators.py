@@ -17,10 +17,10 @@ import numpy as np
 
 from repro.causal.assumptions import check_positivity
 from repro.causal.effects import EffectEstimate
-from repro.causal.ols import ReusableDesign, ols_fit
+from repro.causal.ols import AdjustmentBasis, two_sided_p_values
 from repro.dataframe import MaskCache, Pattern, Table, design_matrix
 from repro.graph import CausalDAG, backdoor_adjustment_set, parents_adjustment_set
-from repro.parallel import map_morsels
+from repro.parallel import map_morsels  # noqa: F401 — e2ebench tracing wraps it here
 
 
 def naive_difference_in_means(outcome: np.ndarray, treated: np.ndarray) -> EffectEstimate:
@@ -164,85 +164,31 @@ class CATEEstimator:
 
     # ------------------------------------------------------------------ estimation
 
-    def estimate(self, treatment: Pattern, subpopulation: Pattern | None = None,
-                 extra_adjustment: Sequence[str] = ()) -> EffectEstimate:
+    def estimate(self, treatment: Pattern,
+                 subpopulation: Pattern | None = None) -> EffectEstimate:
         """Estimate ``CATE(treatment, outcome | subpopulation)``.
 
         ``treatment`` partitions the sub-population into treated (pattern holds)
         and control (pattern does not hold) units; the effect is the adjusted
         difference in expected outcome (Eq. 5) estimated by linear regression.
         """
-        if self.use_cache:
-            return self.bind(subpopulation).estimate(treatment, extra_adjustment)
-        base = self.table if subpopulation is None or subpopulation.is_empty() \
-            else self.table.select(subpopulation)
-        if self.sample_size is not None and base.n_rows > self.sample_size:
-            base = base.sample(self.sample_size, seed=self.seed)
-        if base.n_rows == 0:
-            return EffectEstimate.undefined()
-
-        treated = treatment.evaluate(base)
-        outcome_values = base.column(self.outcome).values.astype(np.float64)
-        valid = ~np.isnan(outcome_values)
-        if not valid.all():
-            keep = np.nonzero(valid)[0]
-            base = base.take(keep)
-            treated = treated[keep]
-            outcome_values = outcome_values[keep]
-        n_treated = int(treated.sum())
-        n_control = int(base.n_rows - n_treated)
-        if not check_positivity(treated, self.min_group_size):
-            return EffectEstimate.undefined(n_treated, n_control)
-
-        adjustment_attrs = list(self.adjustment_set(treatment.attributes))
-        for attr in extra_adjustment:
-            if attr not in adjustment_attrs and attr in base and attr != self.outcome:
-                adjustment_attrs.append(attr)
-        # Attributes appearing in the sub-population pattern are constant within
-        # the sub-population only when the pattern is an equality; keep them out
-        # of the design matrix if they have a single value (no variance).
-        adjustment_attrs = [a for a in adjustment_attrs
-                            if len(base.domain(a)) > 1]
-
-        confounders, confounder_names = design_matrix(base, adjustment_attrs)
-        design = np.hstack([
-            np.ones((base.n_rows, 1)),
-            treated.astype(np.float64).reshape(-1, 1),
-            confounders,
-        ])
-        names = ["intercept", "__treatment__", *confounder_names]
-        result = ols_fit(design, outcome_values, names)
-        return EffectEstimate(
-            value=result.coefficient("__treatment__"),
-            std_error=result.std_error("__treatment__"),
-            p_value=result.p_value("__treatment__"),
-            n_treated=n_treated,
-            n_control=n_control,
-            estimator="linear_regression",
-        )
+        return self.estimate_many([treatment], subpopulation)[0]
 
     def estimate_many(self, treatments: Sequence[Pattern],
                       subpopulation: Pattern | None = None) -> list[EffectEstimate]:
         """Estimate CATE for a batch of candidate treatment patterns.
 
-        With the cache enabled the sub-population is bound once and every
-        treatment of the batch reuses the binding (one selection + one design
-        matrix per adjustment set instead of one per treatment).
-
-        The batch runs through the morsel pool
-        (:func:`repro.parallel.map_morsels`): at width 1 it is exactly the
-        serial list comprehension, and at any width the result is the same
-        list in the same order — :meth:`BoundSubpopulation.estimate` is
-        thread-safe (the mask cache locks, regression buffers are
-        thread-local) and bit-deterministic, so summaries are byte-identical
-        across pool widths.  Mining groupings already fan out over the pool;
-        this nested call then runs serially inside a worker (no pool-in-pool)
-        and in parallel when the outer layer is serial.
+        With the cache enabled the sub-population is bound once (memoized
+        across calls); without it a fresh, unmemoized binding serves just this
+        batch.  Both run the same solver,
+        :meth:`BoundSubpopulation.estimate_many`, so estimates are identical
+        with the cache on or off.  The solve runs on the calling thread; BLAS
+        parallelizes the matrix products, and mining already fans groupings
+        out over threads above this call.
         """
-        if not self.use_cache:
-            return [self.estimate(t, subpopulation) for t in treatments]
-        bound = self.bind(subpopulation)
-        return map_morsels(bound.estimate, treatments)
+        bound = self.bind(subpopulation) if self.use_cache \
+            else BoundSubpopulation(self, subpopulation)
+        return bound.estimate_many(treatments)
 
     def cache_stats(self):
         """Statistics of the shared mask cache (``None`` when caching is off)."""
@@ -256,10 +202,9 @@ class BoundSubpopulation:
     :meth:`CATEEstimator.estimate` exactly once: evaluating the sub-population
     pattern, applying the sampling optimisation, and dropping tuples with a
     missing outcome.  Per adjustment-attribute tuple the confounder design
-    matrix is also computed once and memoized — within one sub-population every
-    treatment over the same attributes shares it verbatim, so the regression
-    inputs (and therefore the estimates) are bitwise identical to the unbound
-    path.
+    ``[1 | Z]`` is also encoded and factored once and the factorization
+    memoized (:class:`~repro.causal.ols.AdjustmentBasis`): every treatment
+    over the same attributes is solved against it, a block at a time.
 
     The bound table is a :meth:`Table.take` slice, so its categorical columns
     share the parent vocabulary: treatment masks sliced from the full-table
@@ -302,7 +247,7 @@ class BoundSubpopulation:
         self.outcome_values = outcome_values
         self._identity = base is table  # binding covers the whole table unchanged
         self._domain_sizes: dict[str, int] = {}
-        self._design_cache: dict[tuple[str, ...], ReusableDesign] = {}
+        self._bases: dict[tuple[str, ...], AdjustmentBasis] = {}
 
     @property
     def n_rows(self) -> int:
@@ -323,50 +268,82 @@ class BoundSubpopulation:
             self._domain_sizes[attribute] = size
         return size
 
-    def _design(self, attributes: tuple[str, ...]) -> ReusableDesign:
-        """The reusable design matrix for one adjustment-attribute tuple.
+    def _adjustment_key(self, treatment: Pattern) -> tuple[str, ...]:
+        """Adjustment attributes of ``treatment`` that vary in this sub-population.
 
-        The confounder block is encoded once and the full buffer is
-        preallocated; per-treatment fits only rewrite the treatment column
-        (see :class:`~repro.causal.ols.ReusableDesign`), so no ``np.hstack``
-        runs per candidate.
+        An attribute with a single value here (e.g. one fixed by an equality
+        in the sub-population pattern) has no variance and is left out.
         """
-        entry = self._design_cache.get(attributes)
-        if entry is None:
-            confounders, names = design_matrix(self.base, list(attributes))
-            entry = ReusableDesign(confounders, names)
-            self._design_cache[attributes] = entry
-        return entry
+        return tuple(a for a in self.estimator.adjustment_set(treatment.attributes)
+                     if self._domain_size(a) > 1)
 
-    def estimate(self, treatment: Pattern,
-                 extra_adjustment: Sequence[str] = ()) -> EffectEstimate:
+    def _basis(self, attributes: tuple[str, ...]) -> AdjustmentBasis:
+        """The factored design ``[1 | Z]`` for one adjustment-attribute tuple."""
+        basis = self._bases.get(attributes)
+        if basis is None:
+            confounders, _ = design_matrix(self.base, list(attributes))
+            basis = AdjustmentBasis(confounders, self.outcome_values)
+            self._bases[attributes] = basis
+        return basis
+
+    def estimate(self, treatment: Pattern) -> EffectEstimate:
         """Estimate the CATE of one treatment within the bound sub-population."""
-        if self.base.n_rows == 0:
-            return EffectEstimate.undefined()
-        estimator = self.estimator
-        treated = self.treated_mask(treatment)
-        n_treated = int(treated.sum())
-        n_control = int(self.base.n_rows - n_treated)
-        if not check_positivity(treated, estimator.min_group_size):
-            return EffectEstimate.undefined(n_treated, n_control)
+        return self.estimate_many([treatment])[0]
 
-        adjustment_attrs = list(estimator.adjustment_set(treatment.attributes))
-        for attr in extra_adjustment:
-            if attr not in adjustment_attrs and attr in self.base \
-                    and attr != estimator.outcome:
-                adjustment_attrs.append(attr)
-        adjustment_attrs = [a for a in adjustment_attrs if self._domain_size(a) > 1]
+    def estimate_many(self, treatments: Sequence[Pattern]) -> list[EffectEstimate]:
+        """Estimate the CATE of every treatment within the bound sub-population.
 
-        design = self._design(tuple(adjustment_attrs))
-        result = design.fit(treated, self.outcome_values)
-        return EffectEstimate(
-            value=result.coefficient("__treatment__"),
-            std_error=result.std_error("__treatment__"),
-            p_value=result.p_value("__treatment__"),
-            n_treated=n_treated,
-            n_control=n_control,
-            estimator="linear_regression",
-        )
+        Treatments failing positivity are undefined without a fit.  The rest
+        are grouped by adjustment set and each group is solved as one block
+        (:meth:`AdjustmentBasis.solve`), blocks in sorted key order; a
+        treatment collinear with its adjustment set is undefined.  All
+        p-values come from one vectorized ``t.sf`` call.
+        """
+        n_rows = self.base.n_rows
+        if n_rows == 0:
+            return [EffectEstimate.undefined() for _ in treatments]
+        min_group_size = self.estimator.min_group_size
+        results: list[EffectEstimate | None] = [None] * len(treatments)
+        blocks: dict[tuple[str, ...], list[tuple[int, int, np.ndarray]]] = {}
+        for index, treatment in enumerate(treatments):
+            treated = self.treated_mask(treatment)
+            n_treated = int(np.count_nonzero(treated))
+            if not check_positivity(treated, min_group_size):
+                results[index] = EffectEstimate.undefined(n_treated,
+                                                          n_rows - n_treated)
+                continue
+            blocks.setdefault(self._adjustment_key(treatment), []).append(
+                (index, n_treated, treated))
+
+        members: list[tuple[int, int]] = []  # (index, n_treated), solve order
+        fits = []
+        for key in sorted(blocks):
+            block = blocks[key]
+            members.extend((index, n_treated) for index, n_treated, _ in block)
+            fits.append(self._basis(key).solve(
+                np.array([treated for *_, treated in block], dtype=np.float64)))
+        if not fits:
+            return results
+        coefficients = np.concatenate([fit.coefficients for fit in fits])
+        std_errors = np.concatenate([fit.std_errors for fit in fits])
+        p_values = two_sided_p_values(
+            np.concatenate([fit.t_values for fit in fits]),
+            np.concatenate([np.full(len(fit.t_values), fit.df_resid,
+                                    dtype=np.int64) for fit in fits]))
+        for row, (index, n_treated) in enumerate(members):
+            if np.isnan(coefficients[row]):
+                results[index] = EffectEstimate.undefined(n_treated,
+                                                          n_rows - n_treated)
+                continue
+            results[index] = EffectEstimate(
+                value=float(coefficients[row]),
+                std_error=float(std_errors[row]),
+                p_value=float(p_values[row]),
+                n_treated=n_treated,
+                n_control=n_rows - n_treated,
+                estimator="linear_regression",
+            )
+        return results
 
 
 def estimate_ate(table: Table, treatment: Pattern, outcome: str,

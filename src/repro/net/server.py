@@ -132,6 +132,9 @@ def serve_in_thread(server: ReproHTTPServer) -> threading.Thread:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two sends; with Nagle on, a keep-alive
+    # client's delayed ACK of the first holds back the second (~40 ms).
+    disable_nagle_algorithm = True
     server: ReproHTTPServer  # narrowed from BaseServer for attribute access
 
     # ------------------------------------------------------------------ GET
@@ -229,8 +232,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError:
-            raise ProtocolError("bad_request",
-                                "invalid Content-Length header") from None
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused; a negative length would also make ``read`` wait for EOF.
+            self.close_connection = True
+            raise ProtocolError("bad_request", "invalid Content-Length header")
         raw = self.rfile.read(length).decode("utf-8") if length else ""
         if not raw.strip():
             return {"op": op}
@@ -285,6 +292,8 @@ class _Handler(BaseHTTPRequestHandler):
             trace_id = getattr(self, "_trace_id", None)
             if trace_id is not None:
                 self.send_header("X-Repro-Trace-Id", trace_id)
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):

@@ -16,7 +16,9 @@ and the grouping/treatment attribute partitions — so
 the directory alone.  ``summaries.pkl`` holds the engine's LRU summary cache
 (pickled, so restored summaries are byte-identical Python objects); entries
 are validated against each dataset's committed manifest version on restore,
-so a cache snapshot can never resurrect summaries for stale data.
+so a cache snapshot can never resurrect summaries for stale data, and the
+snapshot is tagged with the CATE solver that computed it, so summaries from
+another solver are never restored either.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import dataclasses
 import pickle
 from pathlib import Path
 
+from repro.causal import SOLVER_VERSION
 from repro.core import CauSumXConfig
 from repro.dataframe import Table
 from repro.graph import CausalDAG
@@ -216,6 +219,7 @@ class DatasetStore:
                    for key, summary in engine.summary_cache_items()
                    if key[0] in names]
         payload = pickle.dumps({"format_version": FORMAT_VERSION,
+                                "solver": SOLVER_VERSION,
                                 "entries": entries},
                                protocol=pickle.HIGHEST_PROTOCOL)
         (self.root / _ENGINE).mkdir(parents=True, exist_ok=True)
@@ -223,13 +227,19 @@ class DatasetStore:
         return {"datasets": registered, "summaries": len(entries)}
 
     def load_summaries(self) -> list[tuple]:
-        """The pickled summary-cache entries, or ``[]`` when none were saved."""
+        """The pickled summary-cache entries, or ``[]`` when none were saved.
+
+        Entries written by another CATE solver (a different or missing
+        ``solver`` tag) are not restored: their estimates may differ in the
+        last digits from what this build computes.
+        """
         path = self.root / _ENGINE / _SUMMARIES
         if not path.exists():
             return []
         with path.open("rb") as handle:
             payload = pickle.load(handle)
-        if payload.get("format_version") != FORMAT_VERSION:
+        if payload.get("format_version") != FORMAT_VERSION \
+                or payload.get("solver") != SOLVER_VERSION:
             return []
         return list(payload.get("entries", []))
 

@@ -122,12 +122,26 @@ class TestAdjustment:
     def test_missing_outcomes_are_dropped(self, confounded_dag):
         table = Table([
             Column("Z", [0, 1] * 50, numeric=False),
-            Column("T", [0, 1] * 50, numeric=False),
+            Column("T", [0, 0, 1, 1] * 25, numeric=False),
             Column("Y", [float(i) if i % 3 else None for i in range(100)], numeric=True),
         ])
         estimator = CATEEstimator(table, "Y", dag=confounded_dag, min_group_size=5)
         estimate = estimator.estimate(Pattern.of(("T", "=", 1)))
         assert estimate.is_valid()
+        assert estimate.n_units == 66  # the 34 rows with a missing Y are dropped
+
+    def test_collinear_treatment_is_undefined(self, confounded_dag):
+        # T is an exact copy of the confounder Z, so its effect is not
+        # identified once Z is adjusted for.
+        table = Table([
+            Column("Z", [0, 1] * 50, numeric=False),
+            Column("T", [0, 1] * 50, numeric=False),
+            Column("Y", [float(i) for i in range(100)], numeric=True),
+        ])
+        estimator = CATEEstimator(table, "Y", dag=confounded_dag, min_group_size=5)
+        estimate = estimator.estimate(Pattern.of(("T", "=", 1)))
+        assert not estimate.is_valid()
+        assert (estimate.n_treated, estimate.n_control) == (50, 50)
 
     def test_estimate_many(self, confounded_table, confounded_dag):
         estimator = CATEEstimator(confounded_table, "Y", dag=confounded_dag)

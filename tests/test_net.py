@@ -1,5 +1,6 @@
 """Tests for the HTTP serving tier (``repro.net``)."""
 
+import http.client
 import json
 import socket
 import threading
@@ -408,6 +409,47 @@ class TestHTTPServer:
                 assert status == expected_status, (path, response)
                 assert response["ok"] is False
                 assert response["error_code"] == expected_code
+
+    def test_negative_content_length_gets_400_not_a_hung_handler(self, so_net):
+        registry = make_registry(so_net)
+        with live_server(registry) as server:
+            host, port = server.server_address[:2]
+            request = (f"POST /v1/stats HTTP/1.1\r\nHost: {host}:{port}\r\n"
+                       "Content-Length: -1\r\n\r\n").encode("ascii")
+            # A handler blocked reading to EOF never answers: recv times out.
+            with socket.create_connection((host, port), timeout=2.0) as conn:
+                conn.sendall(request)
+                raw = b""
+                while chunk := conn.recv(65536):
+                    raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert int(head.split(b" ", 2)[1]) == 400
+        assert b"connection: close" in head.lower()
+        response = json.loads(body)
+        assert response["ok"] is False
+        assert response["error_code"] == "bad_request"
+
+    def test_keep_alive_requests_do_not_stall(self, so_net):
+        # Header and body writes used to meet Nagle plus the client's
+        # delayed ACK: ~40 ms per response on a reused connection, so 20
+        # requests took >= 0.8 s.
+        registry = make_registry(so_net)
+        with live_server(registry) as server:
+            host, port = server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                conn.request("POST", "/v1/stats")
+                conn.getresponse().read()
+                start = time.perf_counter()
+                for _ in range(20):
+                    conn.request("POST", "/v1/stats")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    response.read()
+                elapsed = time.perf_counter() - start
+            finally:
+                conn.close()
+        assert elapsed < 0.4, elapsed
 
     def test_saturated_queue_sheds_429(self, so_net):
         registry = make_registry(so_net)

@@ -211,12 +211,11 @@ class TestWorkerInvariance:
 
 
 class TestMiningWidthInvariance:
-    """Mining lattice scans run through the pool; summaries must not notice.
+    """Mining scans run through the pool; summaries must not notice.
 
-    ``CATEEstimator.estimate_many`` fans whole lattice levels over
-    ``map_morsels`` (serially inside a grouping worker, in parallel when the
-    outer grouping layer is serial), so a full explanation — mining included
-    — must serialize byte-identically at any pool width.
+    Scans fan out over ``map_morsels`` while ``CATEEstimator.estimate_many``
+    solves each lattice level on the calling thread, so a full explanation —
+    mining included — must serialize byte-identically at any pool width.
     """
 
     def test_explain_summary_identical_across_widths(self, so_bundle,

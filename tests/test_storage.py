@@ -10,12 +10,14 @@ and the cross-engine memory budget.
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.causal import SOLVER_VERSION
 from repro.core import CauSumX, CauSumXConfig, summary_to_dict
 from repro.dataframe import Column, LazyColumn, Op, Pattern, Predicate, Table
 from repro.datasets import load_dataset
@@ -306,6 +308,25 @@ class TestWarmRestart:
         store.dataset("stackoverflow").append(
             Table.from_rows([bundle.table.row(0)],
                             schema=list(bundle.table.attributes)))
+        restarted = ExplanationEngine.from_store(store, max_workers=1)
+        assert restarted.stats().get("restored_summaries", 0) == 0
+        _, info = restarted.explain_with_info("stackoverflow", self.QUERY)
+        assert not info["cached"]
+
+    def test_snapshot_from_another_solver_is_not_restored(self, tmp_path,
+                                                          bundle):
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config())
+        engine = ExplanationEngine.from_store(store, max_workers=1)
+        engine.explain("stackoverflow", self.QUERY)
+        engine.snapshot()
+        path = store.root / "engine" / "summaries.pkl"
+        payload = pickle.loads(path.read_bytes())
+        assert payload["solver"] == SOLVER_VERSION
+        assert len(store.load_summaries()) == 1
+        del payload["solver"]  # as written before snapshots were tagged
+        path.write_bytes(pickle.dumps(payload))
+        assert store.load_summaries() == []
         restarted = ExplanationEngine.from_store(store, max_workers=1)
         assert restarted.stats().get("restored_summaries", 0) == 0
         _, info = restarted.explain_with_info("stackoverflow", self.QUERY)
