@@ -21,6 +21,7 @@ from repro.causal.ols import AdjustmentBasis, two_sided_p_values
 from repro.dataframe import MaskCache, Pattern, Table, design_matrix
 from repro.graph import CausalDAG, backdoor_adjustment_set, parents_adjustment_set
 from repro.parallel import map_morsels  # noqa: F401 — e2ebench tracing wraps it here
+from repro.parallel.blas import single_threaded_blas
 
 
 def naive_difference_in_means(outcome: np.ndarray, treated: np.ndarray) -> EffectEstimate:
@@ -182,13 +183,15 @@ class CATEEstimator:
         across calls); without it a fresh, unmemoized binding serves just this
         batch.  Both run the same solver,
         :meth:`BoundSubpopulation.estimate_many`, so estimates are identical
-        with the cache on or off.  The solve runs on the calling thread; BLAS
-        parallelizes the matrix products, and mining already fans groupings
-        out over threads above this call.
+        with the cache on or off.  The solve runs on the calling thread with
+        BLAS on one thread (:mod:`repro.parallel.blas`: the products are too
+        small to split); mining fans groupings out over threads above this
+        call.
         """
-        bound = self.bind(subpopulation) if self.use_cache \
-            else BoundSubpopulation(self, subpopulation)
-        return bound.estimate_many(treatments)
+        with single_threaded_blas():
+            bound = self.bind(subpopulation) if self.use_cache \
+                else BoundSubpopulation(self, subpopulation)
+            return bound.estimate_many(treatments)
 
     def cache_stats(self):
         """Statistics of the shared mask cache (``None`` when caching is off)."""

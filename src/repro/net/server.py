@@ -132,9 +132,6 @@ def serve_in_thread(server: ReproHTTPServer) -> threading.Thread:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # Headers and body leave in two sends; with Nagle on, a keep-alive
-    # client's delayed ACK of the first holds back the second (~40 ms).
-    disable_nagle_algorithm = True
     server: ReproHTTPServer  # narrowed from BaseServer for attribute access
 
     # ------------------------------------------------------------------ GET

@@ -28,6 +28,11 @@ from repro.parallel import (
     worker_count,
     workers,
 )
+from repro.parallel.blas import (
+    blas_controllable,
+    blas_threads,
+    single_threaded_blas,
+)
 from repro.plan import GLOBAL_PLANNER_STATS, oracle_mode
 from repro.service import ExplanationEngine
 from repro.sql import AggregateView, parse_query
@@ -265,6 +270,71 @@ class TestMiningWidthInvariance:
             with workers(width):
                 assert canon(estimator.estimate_many(
                     treatments, subpopulation)) == serial
+
+
+# -------------------------------------------------------------- BLAS threads
+
+
+needs_blas_control = pytest.mark.skipif(
+    not blas_controllable(), reason="numpy's BLAS thread count is not settable")
+
+
+@needs_blas_control
+class TestSingleThreadedBlas:
+    """CATE solves keep numpy's BLAS on one thread, and give the count back."""
+
+    def test_nested_blocks_hold_one_thread_and_restore(self):
+        before = blas_threads()
+        with single_threaded_blas():
+            assert blas_threads() == 1
+            with single_threaded_blas():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == before
+
+    def test_restores_only_after_the_last_overlapping_block(self):
+        before = blas_threads()
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with single_threaded_blas():
+                entered.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert entered.wait(10)
+            with single_threaded_blas():
+                pass
+            assert blas_threads() == 1  # the other thread is still inside
+        finally:
+            release.set()
+            holder.join()
+        assert blas_threads() == before
+
+    def test_estimate_many_solves_on_one_blas_thread(self, so_bundle,
+                                                     monkeypatch):
+        from repro.causal import CATEEstimator
+        from repro.causal.ols import AdjustmentBasis
+
+        seen = []
+        solve = AdjustmentBasis.solve
+
+        def spy(self, treated):
+            seen.append(blas_threads())
+            return solve(self, treated)
+
+        monkeypatch.setattr(AdjustmentBasis, "solve", spy)
+        table = so_bundle.table
+        estimator = CATEEstimator(table, "Salary", dag=so_bundle.dag,
+                                  min_group_size=5)
+        before = blas_threads()
+        estimator.estimate_many([Pattern.of((attr, "==", value))
+                                 for attr in so_bundle.treatment_attributes
+                                 for value in table.domain(attr)[:2]])
+        assert seen and set(seen) == {1}
+        assert blas_threads() == before
 
 
 # ------------------------------------------------------------- store-code memo
