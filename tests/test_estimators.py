@@ -143,6 +143,16 @@ class TestAdjustment:
         assert not estimate.is_valid()
         assert (estimate.n_treated, estimate.n_control) == (50, 50)
 
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_empty_subpopulation_is_undefined(self, confounded_table,
+                                              confounded_dag, use_cache):
+        estimator = CATEEstimator(confounded_table, "Y", dag=confounded_dag,
+                                  use_cache=use_cache)
+        nobody = Pattern.of(("Z", "=", 99))  # Z takes 0, 1, 2
+        results = estimator.estimate_many([Pattern.of(("T", "=", 1)),
+                                           Pattern.of(("T", "=", 0))], nobody)
+        assert [(r.is_valid(), r.n_units) for r in results] == [(False, 0)] * 2
+
     def test_estimate_many(self, confounded_table, confounded_dag):
         estimator = CATEEstimator(confounded_table, "Y", dag=confounded_dag)
         results = estimator.estimate_many([Pattern.of(("T", "=", 1)),
