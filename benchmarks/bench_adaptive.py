@@ -50,7 +50,7 @@ from repro.adapt import (  # noqa: E402
     adaptive_overrides,
 )
 from repro.dataframe import Op, Pattern, Predicate, Table  # noqa: E402
-from repro.plan import oracle_mode, table_stats  # noqa: E402
+from repro.plan import table_stats  # noqa: E402
 from repro.plan.execute import planned_select_with_plan  # noqa: E402
 from repro.storage import DatasetStore  # noqa: E402
 
@@ -111,8 +111,7 @@ def _run_workload(table: Table, queries, stats, feedback: bool) -> list:
 def run_replan_comparison(n: int = 200_000, n_queries: int = 40) -> dict:
     table = _skewed_table(n)
     queries = [_skewed_pattern(i % N_SEGMENTS) for i in range(n_queries)]
-    with oracle_mode():
-        oracle = [table.select(pattern) for pattern in queries]
+    oracle = [Table.select(table, pattern) for pattern in queries]
 
     GLOBAL_CORRECTOR.reset()
     with adaptive_overrides(enabled=False):
@@ -184,8 +183,7 @@ def run_bitmap_comparison(n: int = 200_000, n_queries: int = 30,
         table = _wide_vocab_table(n)
         dataset = store.import_table("hotwhere", table,
                                      shard_rows=shard_rows)
-        with oracle_mode():
-            oracle = table.select(pattern)
+        oracle = Table.select(table, pattern)
 
         loaded = dataset.load_table()
         kernel_seconds, kernel_results = _time_selects(loaded, pattern,

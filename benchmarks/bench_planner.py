@@ -36,7 +36,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.dataframe import Pattern, Table  # noqa: E402
-from repro.plan import oracle_mode, plan_scan, planned_select, table_stats  # noqa: E402
+from repro.plan import plan_scan, planned_select, table_stats  # noqa: E402
 
 MIN_SPEEDUP = 2.0
 N_QUERIES = 60
@@ -76,10 +76,9 @@ def run_comparison(n: int = 150_000, n_queries: int = N_QUERIES) -> dict:
     table = _dataset(n)
     queries = _workload(n_queries)
 
-    # --- unplanned oracle: canonical order, full mask per conjunct ----------
+    # --- unplanned reference: canonical order, full mask per conjunct -------
     start = time.perf_counter()
-    with oracle_mode():
-        oracle_results = [table.select(pattern) for pattern in queries]
+    oracle_results = [Table.select(table, pattern) for pattern in queries]
     unplanned_seconds = time.perf_counter() - start
 
     # --- planned: stats build + reorder + short-circuit ---------------------

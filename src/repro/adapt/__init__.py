@@ -5,8 +5,7 @@ log (PR 9) and the cost-based planner (PR 5):
 
 * :mod:`repro.adapt.feedback` — :class:`EstimateCorrector` folds executed
   plans' per-conjunct estimated-vs-actual selectivities into EWMA
-  corrections that ``plan_scan`` consults; the engine purges cached views
-  whose planned estimates have drifted past the threshold and re-plans.
+  corrections that ``plan_scan`` consults the next time a view is planned.
 * :mod:`repro.adapt.promote` — :class:`HeatTracker` counts served WHERE
   conjuncts; hot ones are promoted to committed per-shard packed-bitmap
   indexes ("cracking"), demoted LRU-by-heat under a byte budget.
@@ -14,8 +13,8 @@ log (PR 9) and the cost-based planner (PR 5):
   overrides and a test-scoped ``adaptive_overrides`` context manager.
 
 The executor side (bitmap consult in ``plan_shard_select``) lives with the
-storage layer; the drive loop (observe → drift check → promote/demote)
-lives in :mod:`repro.service.engine`.
+storage layer; the drive loop (observe → promote/demote) lives in
+:mod:`repro.service.engine`.
 """
 
 from repro.adapt.config import (AdaptiveConfig, adaptive_config,

@@ -5,8 +5,6 @@ One frozen :class:`AdaptiveConfig` holds every threshold the loop consults:
 * ``min_observations`` / ``ewma_alpha`` — how much est/actual history a
   conjunct needs before its corrected estimate replaces the static one, and
   how fast the EWMA tracks workload shift;
-* ``drift_threshold`` — max |corrected − planned| selectivity across a cached
-  view's conjuncts before the engine purges that view and re-plans;
 * ``heat_threshold`` — how many times a WHERE conjunct must be served before
   it is promoted to a committed per-shard bitmap index;
 * ``index_budget_bytes`` — total committed bitmap bytes per dataset; past it,
@@ -14,7 +12,7 @@ One frozen :class:`AdaptiveConfig` holds every threshold the loop consults:
 
 Environment overrides (read once at import, like ``REPRO_WORKERS``):
 ``REPRO_ADAPT`` (0 disables the whole loop), ``REPRO_ADAPT_HEAT``,
-``REPRO_ADAPT_DRIFT``, ``REPRO_ADAPT_INDEX_BUDGET``.  Tests swap configs via
+``REPRO_ADAPT_INDEX_BUDGET``.  Tests swap configs via
 :func:`adaptive_overrides`.
 
 Disabling adaptivity never changes results — corrections only reorder
@@ -29,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 DEFAULT_HEAT_THRESHOLD = 64
-DEFAULT_DRIFT_THRESHOLD = 0.25
 DEFAULT_INDEX_BUDGET_BYTES = 1 << 20
 DEFAULT_EWMA_ALPHA = 0.5
 DEFAULT_MIN_OBSERVATIONS = 2
@@ -42,7 +39,6 @@ class AdaptiveConfig:
     enabled: bool = True
     min_observations: int = DEFAULT_MIN_OBSERVATIONS
     ewma_alpha: float = DEFAULT_EWMA_ALPHA
-    drift_threshold: float = DEFAULT_DRIFT_THRESHOLD
     heat_threshold: int = DEFAULT_HEAT_THRESHOLD
     index_budget_bytes: int = DEFAULT_INDEX_BUDGET_BYTES
 
@@ -53,16 +49,6 @@ def _env_int(name: str, default: int) -> int:
         return default
     try:
         return int(raw)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        return float(raw)
     except ValueError:
         return default
 
@@ -78,8 +64,6 @@ def config_from_env() -> AdaptiveConfig:
     return AdaptiveConfig(
         enabled=_env_bool("REPRO_ADAPT", True),
         heat_threshold=_env_int("REPRO_ADAPT_HEAT", DEFAULT_HEAT_THRESHOLD),
-        drift_threshold=_env_float("REPRO_ADAPT_DRIFT",
-                                   DEFAULT_DRIFT_THRESHOLD),
         index_budget_bytes=_env_int("REPRO_ADAPT_INDEX_BUDGET",
                                     DEFAULT_INDEX_BUDGET_BYTES),
     )

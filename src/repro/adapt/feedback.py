@@ -22,9 +22,12 @@ Correlated workloads bias the EWMA toward the conditional value — which is
 exactly the value the planner needs to rank the conjunct within the plans
 that recur.
 
+Corrections apply the next time a view is planned; a cached view keeps the
+plan it was built with until it is evicted or its dataset changes.
+
 Sources: the engine feeds plans after every view materialization and
-``explain_plan`` re-execution, and replays the persisted telemetry log at
-``from_store`` warm start; benchmarks feed plans directly.
+replays the persisted telemetry log at ``from_store`` warm start;
+benchmarks feed plans directly.
 """
 
 from __future__ import annotations
@@ -98,13 +101,12 @@ class EstimateCorrector:
 
     # ----------------------------------------------------------- correcting
 
-    def correction(self, incarnation: Incarnation, predicate: Predicate,
-                   estimated: float) -> tuple[float, bool]:
+    def corrected(self, incarnation: Incarnation, predicate: Predicate,
+                  estimated: float) -> tuple[float, bool]:
         """``(corrected estimate, whether a correction applied)``.
 
-        Side-effect free — used both by ``plan_scan`` (which additionally
-        counts served corrections via :meth:`corrected`) and by the engine's
-        drift check, which must not inflate the served-corrections counter.
+        Called by ``plan_scan`` once per conjunct; every applied correction
+        counts as served.
         """
         key = (incarnation[0], incarnation[1], repr(predicate))
         minimum = adaptive_config().min_observations
@@ -112,16 +114,8 @@ class EstimateCorrector:
             entry = self._entries.get(key)
             if entry is None or entry.observations < minimum:
                 return estimated, False
+            self._corrections_served += 1
             return min(1.0, max(0.0, entry.ewma_actual)), True
-
-    def corrected(self, incarnation: Incarnation, predicate: Predicate,
-                  estimated: float) -> tuple[float, bool]:
-        """Like :meth:`correction`, counting served corrections."""
-        value, applied = self.correction(incarnation, predicate, estimated)
-        if applied:
-            with self._lock:
-                self._corrections_served += 1
-        return value, applied
 
     # ------------------------------------------------------------- plumbing
 

@@ -605,11 +605,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         return 2
     print(report["logical_plan"])
     print(f"\ndataset {report['dataset']!r} v{report['version']}  "
-          f"fingerprint {report['fingerprint']}  "
-          f"planner {'on' if report['planner_enabled'] else 'off (oracle)'}")
+          f"fingerprint {report['fingerprint']}")
     scan = report["scan"]
     if scan is None:
-        print("scan: no WHERE clause (or planner disabled) — full scan")
+        print("scan: no WHERE clause — full scan")
     else:
         order = "planner-reordered" if scan["reordered"] else "canonical order"
         print(f"scan ({order}):")

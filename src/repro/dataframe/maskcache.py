@@ -77,13 +77,6 @@ class MaskCache:
         self._masks: dict[tuple, np.ndarray] = {}  # guarded-by: _lock
         self._hits = 0  # guarded-by: _lock
         self._misses = 0  # guarded-by: _lock
-        #: Memoized store-code resolutions for equality literals — filled by
-        #: the storage layer's planned scans (the lookup walks the
-        #: append-ordered store vocabulary, so hot predicates should pay it
-        #: once per cache lifetime, not once per scan).  Store vocabularies
-        #: only grow, and appends retire this cache object wholesale (the
-        #: engine keys caches by data version), so entries never go stale.
-        self._store_codes: dict[tuple, object] = {}  # guarded-by: _lock
 
     # ------------------------------------------------------------------ masks
 
@@ -109,22 +102,6 @@ class MaskCache:
             # Another thread may have computed the same mask concurrently;
             # keep the first one so callers can rely on identity.
             return self._masks.setdefault(key, mask)
-
-    def resolved_store_code(self, attribute: str, value,
-                            resolver) -> tuple[object, bool]:
-        """``(store code, served from memo?)`` for one equality literal.
-
-        ``resolver`` runs outside the lock on a miss; the first concurrent
-        resolution wins (all compute the same code — the store vocabulary is
-        append-only and this cache dies before it can shrink or reorder).
-        """
-        key = (attribute, value)
-        with self._lock:
-            if key in self._store_codes:
-                return self._store_codes[key], True
-        code = resolver()
-        with self._lock:
-            return self._store_codes.setdefault(key, code), False
 
     def pattern_mask(self, pattern: Pattern) -> np.ndarray:
         """The mask of a conjunctive pattern: bitwise AND of cached predicate masks.
@@ -195,10 +172,9 @@ class MaskCache:
                               entries=len(self._masks), bytes=nbytes)
 
     def clear(self) -> None:
-        """Drop all cached masks (and code memos) and reset the accounting."""
+        """Drop all cached masks and reset the accounting."""
         with self._lock:
             self._masks.clear()
-            self._store_codes.clear()
             self._hits = 0
             self._misses = 0
 

@@ -19,9 +19,8 @@ from repro.dataframe import Op, Pattern, Predicate, Table
 class PatternLattice:
     """Level-wise generator of candidate treatment patterns.
 
-    When a shared :class:`~repro.dataframe.MaskCache` is supplied, atomic
-    predicates are evaluated through it (warming the cache for the estimator
-    that shares it) and predicates whose full-table support is below
+    When a shared :class:`~repro.dataframe.MaskCache` is supplied (the
+    cached estimation path), predicates whose full-table support is below
     ``min_support`` are pruned: a treatment that covers fewer than
     ``min_group_size`` tuples in the whole table can never satisfy the
     positivity check inside any sub-population, so pruning it cannot change
@@ -63,7 +62,7 @@ class PatternLattice:
             cached = self.atom_cache.get(cache_key)
             if cached is not None:
                 return list(cached)
-        candidates: list[tuple[Predicate, int | None]] = []
+        candidates: list[tuple[Predicate, int]] = []
         for attribute in self.attributes:
             column = self.table.column(attribute)
             # Candidate values come straight from the dictionary-encoded
@@ -90,34 +89,21 @@ class PatternLattice:
         return predicates
 
     def _prune_by_support(
-            self, candidates: list[tuple[Predicate, int | None]]
-    ) -> list[Predicate]:
+            self, candidates: list[tuple[Predicate, int]]) -> list[Predicate]:
         """Drop atoms whose full-table support is below ``min_support``.
 
-        With planning enabled, the supports computed *during enumeration*
-        (value counts for equality atoms, one sorted pass for threshold
-        atoms) decide directly: low-support atoms are deferred — pruned
-        without ever evaluating their boolean masks — and surviving atoms'
-        masks are left to be computed (and cached) on first real use.  The
-        surviving atom list is identical to the oracle's, which evaluates
-        every atom's mask through the shared cache to take its support.
+        The supports computed *during enumeration* (value counts for
+        equality atoms, one sorted pass for threshold atoms) decide
+        directly: low-support atoms are deferred — pruned without ever
+        evaluating their boolean masks — and surviving atoms' masks are left
+        to be computed (and cached) on first real use.
         """
-        from repro.plan.config import planner_enabled
         from repro.plan.planner import GLOBAL_PLANNER_STATS
 
-        if not planner_enabled():
-            return [p for p, _ in candidates
-                    if self.mask_cache.support(p) >= self.min_support]
-        survivors = []
-        deferred = 0
-        for predicate, support in candidates:
-            if support is None:  # no closed form: fall back to the mask
-                support = self.mask_cache.support(predicate)
-            if support >= self.min_support:
-                survivors.append(predicate)
-            else:
-                deferred += 1
-        GLOBAL_PLANNER_STATS.record_deferred_atoms(deferred)
+        survivors = [p for p, support in candidates
+                     if support >= self.min_support]
+        GLOBAL_PLANNER_STATS.record_deferred_atoms(
+            len(candidates) - len(survivors))
         return survivors
 
     def _numeric_predicates(self, attribute: str

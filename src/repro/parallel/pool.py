@@ -5,8 +5,8 @@ them are numpy calls that release the GIL, so one thread per shard genuinely
 overlaps: decode (page-cache reads), compare, and gather all run
 concurrently.  This module owns the *one* process-wide pool every layer
 shares — planned shard scans (:meth:`ShardedTable.plan_shard_select
-<repro.storage.dataset.ShardedTable.plan_shard_select>`), oracle shard
-filters, lazy column decodes, aggregate-view group-by partials, and the
+<repro.storage.dataset.ShardedTable.plan_shard_select>`), lazy column
+decodes, aggregate-view group-by partials, and the
 mask-cache cold path the treatment miner scans through.
 
 Sizing

@@ -6,11 +6,11 @@ The executor turns a :class:`~repro.plan.planner.ScanPlan` into row indices:
   vectorized kernel over the table;
 * every later conjunct evaluates **only over the surviving candidate rows**
   (:meth:`~repro.dataframe.Predicate.evaluate_at`), so a selective leading
-  predicate collapses the work of everything behind it;
-* with a :class:`~repro.dataframe.MaskCache`, conjuncts route through the
-  cache instead — full masks are computed once and *reused across scans*
-  (repeated subexpressions across queries cost one AND), which beats subset
-  evaluation as soon as a predicate recurs.
+  predicate collapses the work of everything behind it.
+
+Nothing here memoizes a scan: the serving engine's view cache holds the
+materialised result of each WHERE clause, which is the one memo a repeated
+query needs.
 
 Candidate indices stay sorted ascending throughout, so
 ``table.take(scan_indices(...))`` returns **exactly** the rows
@@ -31,12 +31,11 @@ import numpy as np
 
 from repro.dataframe.predicates import Pattern, Predicate
 from repro.obs import trace
-from repro.plan.config import planner_enabled
 from repro.plan.planner import ScanPlan, plan_scan
 from repro.plan.stats import TableStats
 
 
-def scan_indices(table, plan: ScanPlan, mask_cache=None) -> np.ndarray:
+def scan_indices(table, plan: ScanPlan) -> np.ndarray:
     """Row indices satisfying every conjunct, in ascending order."""
     n = table.n_rows
     plan.rows_in = n
@@ -48,21 +47,12 @@ def scan_indices(table, plan: ScanPlan, mask_cache=None) -> np.ndarray:
     traced = trace.enabled()
     first = plan.conjuncts[0]
     with _conjunct_span(first, traced):
-        if mask_cache is not None:
-            mask = mask_cache.predicate_mask(first.predicate)
-        else:
-            mask = first.predicate.evaluate(table)
-        indices = np.flatnonzero(mask)
+        indices = np.flatnonzero(first.predicate.evaluate(table))
         _record(first, n, indices.size, traced)
     for conjunct in plan.conjuncts[1:]:
         with _conjunct_span(conjunct, traced):
             before = indices.size
-            if mask_cache is not None:
-                satisfied = mask_cache.predicate_mask(
-                    conjunct.predicate)[indices]
-            else:
-                satisfied = conjunct.predicate.evaluate_at(table, indices)
-            indices = indices[satisfied]
+            indices = indices[conjunct.predicate.evaluate_at(table, indices)]
             _record(conjunct, before, indices.size, traced)
     plan.rows_out = int(indices.size)
     return indices
@@ -149,32 +139,25 @@ def merge_shard_counts(plan: ScanPlan, rows_in: int,
     plan.rows_out = int(rows_out)
 
 
-def planned_select_with_plan(table, condition, mask_cache=None,
+def planned_select_with_plan(table, condition,
                              stats: TableStats | None = None):
     """``(filtered table, executed ScanPlan | None)`` for one selection.
 
-    Falls back to the oracle ``table.select`` (returning ``None`` for the
-    plan) when planning is disabled or the condition is not a conjunctive
-    pattern.  Storage-backed tables that implement ``plan_shard_select``
+    A condition that is not a conjunctive pattern (a boolean mask) goes to
+    ``table.select`` unplanned and returns ``None`` for the plan.
+    Storage-backed tables that implement ``plan_shard_select``
     (:class:`~repro.storage.dataset.ShardedTable`) delegate to it so shard
-    skipping and conjunct ordering compose; that path uses the mask cache
-    only as a store-code memo (repeated hot predicates skip the store-vocab
-    lookup) — full-table *masks* would force-decode the very shards the zone
-    maps and statistics are there to skip.
+    skipping and conjunct ordering compose.
     """
-    if not planner_enabled() or not isinstance(condition,
-                                               (Pattern, Predicate)):
+    if not isinstance(condition, (Pattern, Predicate)):
         return table.select(condition), None
     shard_select = getattr(table, "plan_shard_select", None)
     if shard_select is not None:
-        return shard_select(condition, mask_cache=mask_cache)
+        return shard_select(condition)
     plan = plan_scan(table, condition, stats=stats)
-    indices = scan_indices(table, plan, mask_cache=mask_cache)
-    return table.take(indices), plan
+    return table.take(scan_indices(table, plan)), plan
 
 
-def planned_select(table, condition, mask_cache=None):
+def planned_select(table, condition):
     """The filtered table alone (drop-in for ``table.select(condition)``)."""
-    filtered, _ = planned_select_with_plan(table, condition,
-                                           mask_cache=mask_cache)
-    return filtered
+    return planned_select_with_plan(table, condition)[0]

@@ -16,8 +16,7 @@ predicate shapes correctly relative to each other:
 * anything unknown costs 2.
 
 Planning never changes results: it is pure ordering plus conservative
-skipping, and :mod:`repro.plan.config` keeps the unplanned oracle path one
-flag away for every consumer.
+skipping, checked against the unplanned base-class ``Table.select``.
 """
 
 from __future__ import annotations
@@ -166,10 +165,7 @@ class PlannerStats:
     shards_stats_skipped: int = 0  # guarded-by: _lock
     shards_scanned: int = 0  # guarded-by: _lock
     atoms_deferred: int = 0  # guarded-by: _lock
-    store_code_lookups: int = 0  # guarded-by: _lock
-    store_code_cached: int = 0  # guarded-by: _lock
     corrections_applied: int = 0  # guarded-by: _lock
-    drift_replans: int = 0  # guarded-by: _lock
     bitmap_conjuncts_served: int = 0  # guarded-by: _lock
     indexes_promoted: int = 0  # guarded-by: _lock
     indexes_demoted: int = 0  # guarded-by: _lock
@@ -194,21 +190,10 @@ class PlannerStats:
         with self._lock:
             self.atoms_deferred += count
 
-    def record_store_codes(self, lookups: int, cached: int) -> None:
-        """Equality-literal store-code resolutions: total vs. memo-served."""
-        with self._lock:
-            self.store_code_lookups += lookups
-            self.store_code_cached += cached
-
     def record_corrections(self, count: int) -> None:
         """Conjuncts whose estimate was replaced by observed feedback."""
         with self._lock:
             self.corrections_applied += count
-
-    def record_drift_replans(self, count: int) -> None:
-        """Cached views purged because their plan's estimates drifted."""
-        with self._lock:
-            self.drift_replans += count
 
     def record_bitmap_conjuncts(self, count: int) -> None:
         """Conjunct × shard evaluations answered from a bitmap index."""
@@ -233,10 +218,7 @@ class PlannerStats:
                 "shards_stats_skipped": self.shards_stats_skipped,
                 "shards_scanned": self.shards_scanned,
                 "atoms_deferred": self.atoms_deferred,
-                "store_code_lookups": self.store_code_lookups,
-                "store_code_cached": self.store_code_cached,
                 "corrections_applied": self.corrections_applied,
-                "drift_replans": self.drift_replans,
                 "bitmap_conjuncts_served": self.bitmap_conjuncts_served,
                 "indexes_promoted": self.indexes_promoted,
                 "indexes_demoted": self.indexes_demoted,
@@ -247,8 +229,7 @@ class PlannerStats:
             self.plans = self.conjuncts_planned = self.plans_reordered = 0
             self.shards_zone_map_skipped = self.shards_stats_skipped = 0
             self.shards_scanned = self.atoms_deferred = 0
-            self.store_code_lookups = self.store_code_cached = 0
-            self.corrections_applied = self.drift_replans = 0
+            self.corrections_applied = 0
             self.bitmap_conjuncts_served = 0
             self.indexes_promoted = self.indexes_demoted = 0
 

@@ -143,8 +143,10 @@ class NumericColumnStats:
         return self.n_present / max(1, self.n_distinct)
 
     def selectivity(self, op: Op, target: float) -> float:
-        if self.n == 0 or self.n_present == 0 or math.isnan(target):
+        if self.n == 0 or self.n_present == 0:
             return 0.0
+        if math.isnan(target):  # only ``!=`` holds, for every present value
+            return self.n_present / self.n if op is Op.NE else 0.0
         eq = self._equal_rows(target)
         if op is Op.EQ:
             rows = eq
@@ -338,32 +340,6 @@ class TableStats:
         return stats.selectivity(predicate.op, code, vocab=column.vocab,
                                  value=predicate.value)
 
-    def exact_support(self, predicate: Predicate) -> int | None:
-        """Exact matching-row count when provable from statistics, else ``None``.
-
-        Only categorical equality/inequality against *complete* frequency
-        tables is provable; everything else returns ``None`` so callers fall
-        back to evaluating the predicate.
-        """
-        if predicate.attribute not in self._table.attributes:
-            return None
-        stats = self.column(predicate.attribute)
-        if not isinstance(stats, CategoricalColumnStats):
-            return None
-        if predicate.op not in (Op.EQ, Op.NE):
-            return None
-        column = self._table.column(predicate.attribute)
-        try:
-            code = column.vocab_code(predicate.value)
-        except TypeError:
-            return None
-        rows = stats.exact_rows_for_code(code)
-        if rows is None:
-            return None
-        if predicate.op is Op.NE:
-            return stats.n_present - rows
-        return rows
-
 
 def table_stats(table) -> TableStats:
     """The (cached) :class:`TableStats` of a table object.
@@ -531,7 +507,7 @@ def stats_may_match(stats: ColumnStats | None, predicate: Predicate,
         except (TypeError, ValueError):
             return True  # evaluation will raise the same error it always did
         if math.isnan(target):
-            return False
+            return predicate.op is Op.NE  # x != NaN holds for every x
         return _numeric_boundary_possible(stats, predicate.op, target)
     if isinstance(stats, CategoricalColumnStats):
         if stats.n_present == 0:

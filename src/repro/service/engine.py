@@ -10,7 +10,9 @@ served through a hierarchy of caches —
 1. **plan cache** — SQL text → parsed :class:`~repro.sql.GroupByAvgQuery`;
 2. **view cache** — canonical query → materialised
    :class:`~repro.sql.AggregateView` (one ``GroupByIndex``, group keys,
-   averages) per dataset version;
+   averages) per dataset version.  It is the only memo of a WHERE scan:
+   the scan runs once per view, through the planner, and nothing below it
+   caches WHERE masks;
 3. **population cache** — (WHERE clause, outcome) → a
    :class:`~repro.causal.CATEEstimator` whose shared
    :class:`~repro.dataframe.MaskCache` and lattice-atom cache are reused by
@@ -67,13 +69,13 @@ from repro.adapt import (
 from repro.analysis.lockwatch import named_lock
 from repro.causal import CATEEstimator
 from repro.core import CauSumX, CauSumXConfig, ExplanationSummary
-from repro.dataframe import MaskCache, Pattern, Table
+from repro.dataframe import Pattern, Table
 from repro.graph import CausalDAG
 from repro.obs import trace
 from repro.obs.registry import unified_engine_metrics
 from repro.obs.telemetry import telemetry_enabled
 from repro.parallel import GLOBAL_PARALLEL_STATS, worker_count
-from repro.plan import GLOBAL_PLANNER_STATS, lower_query, planner_enabled
+from repro.plan import GLOBAL_PLANNER_STATS, lower_query
 from repro.service.lru import LRUCache
 from repro.sql import (
     AggregateView,
@@ -81,12 +83,6 @@ from repro.sql import (
     normalize_query,
     parse_query,
 )
-
-
-#: Distinct WHERE predicates whose masks one dataset's cache may hold before
-#: it is flushed (each mask costs ``n_rows`` bytes; recomputing is one
-#: vectorized kernel pass, so flushing beats unbounded growth).
-WHERE_MASK_CACHE_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -160,9 +156,6 @@ class ExplanationEngine:
             weigher=_summary_nbytes if memory_budget is not None else None)
         self._flights_lock = named_lock("ExplanationEngine._flights_lock")
         self._flights: dict[tuple, _Flight] = {}  # guarded-by: _flights_lock
-        #: name -> (data version, MaskCache over the registered table): the
-        #: shared cache planned WHERE scans route repeated conjuncts through.
-        self._where_masks: dict[str, tuple[int, MaskCache]] = {}  # guarded-by: _datasets_lock
         self._computations = 0  # guarded-by: _flights_lock
         self._coalesced = 0  # guarded-by: _flights_lock
         self._batch_deduped = 0  # guarded-by: _flights_lock
@@ -525,26 +518,13 @@ class ExplanationEngine:
         canonical = self._canonical(query)
         plan = lower_query(canonical)
         view = self._view(state, canonical, plan)
-        scan_plan = view.scan_plan if planner_enabled() else None
-        if planner_enabled() and plan.conjuncts and scan_plan is None:
-            # The cached view predates the current planner mode (it was
-            # materialised under oracle_mode): re-execute the scan now so
-            # the report's actuals describe this call, not a stale build.
-            from repro.plan import planned_select_with_plan
-
-            _, scan_plan = planned_select_with_plan(
-                state.table, plan.filter,
-                mask_cache=self._where_mask_cache(state))
-            if adaptive_enabled():
-                GLOBAL_CORRECTOR.observe_plan(self._incarnation(state),
-                                              scan_plan)
-        scan = scan_plan.to_dict() if scan_plan is not None else None
+        scan = view.scan_plan.to_dict() if view.scan_plan is not None \
+            else None
         return {
             "dataset": name,
             "version": state.version,
             "fingerprint": plan.fingerprint,
             "sql": canonical.to_sql(),
-            "planner_enabled": planner_enabled(),
             "logical_plan": plan.render(),
             "scan": scan,
             "rows": {"table": state.table.n_rows,
@@ -563,12 +543,10 @@ class ExplanationEngine:
         """One turn of the adaptive loop, after a query was served.
 
         Heat is recorded for every served WHERE conjunct (cache hits
-        included — heat measures demand); then cached views whose planned
-        estimates have drifted past the threshold are purged (they re-plan
-        with corrected estimates on next materialization), and at most one
-        newly hot predicate is promoted to a committed bitmap index, with
-        LRU-by-heat demotion under the byte budget.  The tick never touches
-        results — it only reorders and pre-answers future scans.
+        included — heat measures demand); then at most one newly hot
+        predicate is promoted to a committed bitmap index, with LRU-by-heat
+        demotion under the byte budget.  The tick never touches results —
+        it only pre-answers future scans.
         """
         config = adaptive_config()
         try:
@@ -578,41 +556,8 @@ class ExplanationEngine:
         predicates = list(plan.conjuncts)
         if predicates:
             GLOBAL_HEAT.record(name, predicates)
-            self._check_drift(state, config)
             if state.store is not None:
                 self._maybe_promote(state, config)
-
-    def _check_drift(self, state: DatasetState, config) -> None:
-        """Purge cached views whose plans the corrector now disagrees with.
-
-        The "plan cache" the drift loop invalidates is the **view cache**:
-        views hold the executed :class:`ScanPlan` (the physical schedule),
-        and purging one forces the next serve to re-materialise — and
-        therefore re-plan with the corrected estimates.  Summaries stay
-        cached: drift changes performance, never results.
-        """
-        incarnation = self._incarnation(state)
-        stale = []
-        for key, view in self._view_cache.items():
-            if key[0] != state.name or key[1] != state.version:
-                continue
-            scan_plan = getattr(view, "scan_plan", None)
-            if scan_plan is None:
-                continue
-            drift = 0.0
-            for conjunct in scan_plan.conjuncts:
-                corrected, applied = GLOBAL_CORRECTOR.correction(
-                    incarnation, conjunct.predicate,
-                    conjunct.estimated_selectivity)
-                if applied:
-                    drift = max(drift,
-                                abs(corrected - conjunct.estimated_selectivity))
-            if drift > config.drift_threshold:
-                stale.append(key)
-        if stale:
-            for stale_key in stale:
-                self._view_cache.purge(lambda k, sk=stale_key: k == sk)
-            GLOBAL_PLANNER_STATS.record_drift_replans(len(stale))
 
     def _maybe_promote(self, state: DatasetState, config) -> None:
         """Commit a bitmap index for the hottest unindexed predicate, if any.
@@ -779,23 +724,10 @@ class ExplanationEngine:
                 carried.append(((name, new_state.version, where_key, average),
                                 _Population(where, estimator)))
 
-            # The WHERE mask cache extends the same way: cached conjunct
-            # masks are revalidated by evaluating the appended rows only, so
-            # selectivity-planned scans on the new version start warm.
-            with self._datasets_lock:
-                where_entry = self._where_masks.get(name)
-            carried_where = None
-            if where_entry is not None and where_entry[0] == state.version \
-                    and len(where_entry[1]) <= WHERE_MASK_CACHE_LIMIT:
-                carried_where = (new_state.version,
-                                 where_entry[1].extended(new_table, appended))
-
             with self._datasets_lock:
                 invalidated = self._invalidate(name)
                 for key, population in carried:
                     self._population_cache.put(key, population)
-                if carried_where is not None:
-                    self._where_masks[name] = carried_where
                 self._datasets[name] = new_state
             return {"dataset": name, "version": new_state.version,
                     "appended_rows": appended.n_rows,
@@ -851,16 +783,8 @@ class ExplanationEngine:
                 entry["scan"] = scan_stats()
             if entry:
                 storage[state.name] = entry
-        with self._datasets_lock:
-            where_masks = {name: entry[1].stats()
-                           for name, entry in self._where_masks.items()}
         planner = {
-            "enabled": planner_enabled(),
             **GLOBAL_PLANNER_STATS.snapshot(),
-            "where_mask_caches": {
-                name: {"hits": s.hits, "misses": s.misses,
-                       "entries": s.entries, "bytes": s.bytes}
-                for name, s in where_masks.items()},
             "adaptive": {"enabled": adaptive_enabled(),
                          "corrector": GLOBAL_CORRECTOR.snapshot(),
                          "heat": GLOBAL_HEAT.snapshot()},
@@ -941,49 +865,15 @@ class ExplanationEngine:
         if view is None:
             with trace.trace_span("engine.view_materialize",
                                   dataset=state.name):
-                view = AggregateView(state.table, canonical,
-                                     mask_cache=self._where_mask_cache(state))
+                view = AggregateView(state.table, canonical)
             self._view_cache.put(key, view)
             if adaptive_enabled():
                 # Feed the executed scan's estimated-vs-actual selectivities
-                # into the corrector — the source of every later correction,
-                # drift purge, and (via heat, separately) index promotion.
+                # into the corrector — the source of every later correction
+                # (index promotion is fed separately, by heat).
                 GLOBAL_CORRECTOR.observe_plan(
-                    self._incarnation(state), getattr(view, "scan_plan", None))
+                    self._incarnation(state), view.scan_plan)
         return view
-
-    def _where_mask_cache(self, state: DatasetState) -> MaskCache:
-        """The per-dataset-version mask cache WHERE conjuncts route through.
-
-        Different queries over one dataset repeat the same WHERE predicates;
-        routing the planned scan through a shared
-        :class:`~repro.dataframe.MaskCache` makes a repeated subexpression
-        one cached AND instead of a kernel pass.  (Storage-backed tables
-        skip it inside ``planned_select`` — shard pruning wins there.)
-
-        The cache is bounded: each entry is one ``n_rows``-byte mask, so
-        once a workload of ever-distinct predicates pushes past
-        ``WHERE_MASK_CACHE_LIMIT`` entries the cache is flushed rather than
-        allowed to grow for the life of the process (unlike the LRU levels,
-        masks are cheap to recompute and expensive to keep).
-        """
-        with self._datasets_lock:
-            entry = self._where_masks.get(state.name)
-            if entry is not None:
-                version, cache = entry
-                if version == state.version:
-                    if len(cache) > WHERE_MASK_CACHE_LIMIT:
-                        cache.clear()
-                    return cache
-                if version > state.version:
-                    # A reader still mid-flight on the previous data version
-                    # (append_rows already installed the extended cache for
-                    # the new one): serve it a private throwaway cache
-                    # instead of clobbering the warm entry.
-                    return MaskCache(state.table)
-            cache = MaskCache(state.table)
-            self._where_masks[state.name] = (state.version, cache)
-            return cache
 
     def _population(self, state: DatasetState, plan, view: AggregateView,
                     outcomes: dict | None = None) -> _Population:
@@ -1008,7 +898,6 @@ class ExplanationEngine:
         for cache in (self._summary_cache, self._view_cache,
                       self._population_cache):
             invalidated += cache.purge(lambda key: key[0] == name)
-        self._where_masks.pop(name, None)
         return invalidated
 
 

@@ -39,26 +39,23 @@ class AggregateView:
     each group, which the grouping-pattern coverage logic needs.
     """
 
-    def __init__(self, table: Table, query: GroupByAvgQuery,
-                 mask_cache=None):
+    def __init__(self, table: Table, query: GroupByAvgQuery):
         query.validate(table)
         self.query = query
         self.base_table = table
-        # The WHERE clause executes through the query planner: conjuncts run
-        # in estimated-selectivity × cost order with short-circuit AND, a
-        # storage-backed ShardedTable additionally skips whole shards via
-        # zone maps and column statistics, and a caller-supplied MaskCache
-        # (the serving engine's per-dataset WHERE cache) amortises repeated
-        # predicates across queries.  The executed ScanPlan — estimated vs
-        # actual per-conjunct selectivities, shard-skip counts — is kept on
-        # ``scan_plan`` for ``explain_plan`` introspection.  With planning
-        # disabled (oracle mode) this is exactly ``table.select(where)``.
+        # The WHERE clause executes through the query planner, once per
+        # view: conjuncts run in estimated-selectivity × cost order with
+        # short-circuit AND, and a storage-backed ShardedTable additionally
+        # skips whole shards via zone maps and column statistics.  The rows
+        # are exactly ``Table.select(table, where)``'s.  The executed
+        # ScanPlan — estimated vs actual per-conjunct selectivities,
+        # shard-skip counts — is kept on ``scan_plan`` for ``explain_plan``.
         self.scan_plan = None
         if query.where.is_empty():
             self.table = table
         else:
             self.table, self.scan_plan = planned_select_with_plan(
-                table, query.where, mask_cache=mask_cache)
+                table, query.where)
         # The factorized group index backs membership lists and the
         # covered-groups test; it is built lazily because the answer tuples
         # themselves may come from **group-by partials** instead: a no-WHERE

@@ -13,7 +13,8 @@ Entry points:
 * :class:`DatasetStore` — a store root holding many datasets + engine state;
 * :class:`StoredDataset` — one dataset directory (manifest + shards);
 * :class:`ShardedTable` — the lazily-loaded, zone-map-pruned ``Table`` view;
-* :func:`~repro.storage.zonemap.pattern_may_match` — the pushdown predicate.
+* :func:`~repro.storage.zonemap.shard_may_match` — the per-shard pushdown
+  predicate.
 """
 
 from repro.storage.dataset import ShardedTable, StoredDataset
@@ -28,7 +29,6 @@ from repro.storage.store import DatasetStore, config_from_dict, config_to_dict
 from repro.storage.zonemap import (
     categorical_zone_map,
     numeric_zone_map,
-    pattern_may_match,
     shard_may_match,
 )
 
@@ -45,7 +45,6 @@ __all__ = [
     "config_to_dict",
     "numeric_zone_map",
     "open_shard",
-    "pattern_may_match",
     "shard_may_match",
     "write_shard",
 ]

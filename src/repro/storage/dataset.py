@@ -41,7 +41,6 @@ from repro.dataframe.column import sorted_code_remap
 from repro.dataframe.predicates import Op
 from repro.obs import trace
 from repro.parallel import GLOBAL_PARALLEL_STATS, map_morsels, worker_count
-from repro.plan.config import planner_enabled
 from repro.plan.execute import merge_shard_counts, scan_indices, shard_scan_indices
 from repro.plan.planner import GLOBAL_PLANNER_STATS, plan_scan
 from repro.plan.stats import (
@@ -75,7 +74,6 @@ from repro.storage.shard import open_shard, pack_bitmap, unpack_bitmap, write_sh
 from repro.storage.zonemap import (
     categorical_zone_map,
     numeric_zone_map,
-    pattern_may_match,
     shard_may_match,
 )
 
@@ -763,51 +761,16 @@ class ShardedTable(Table):
     # ------------------------------------------------------------------ pruned scans
 
     def select(self, condition) -> Table:
-        """Pattern selections consult zone maps + statistics and skip shards."""
+        """Pattern selections consult zone maps + statistics and skip shards.
+
+        The unpruned reference is the base class's ``Table.select(self,
+        condition)``: full masks over every shard.
+        """
         if not isinstance(condition, (Pattern, Predicate)):
             return super().select(condition)
-        if planner_enabled():
-            return self.plan_shard_select(condition)[0]
-        # Oracle path: zone-map-only pruning, left-to-right full masks.
-        if not self._prune or len(self._handles) <= 1:
-            return self._filter_shards(self._handles, condition)
-        vocabs = self._manifest.vocabs
-        # One pass decides survival and tallies skipped rows directly — no
-        # post-hoc `h not in survivors` membership scan (quadratic in the
-        # shard count).
-        survivors = []
-        rows_skipped = 0
-        for handle in self._handles:
-            if pattern_may_match(handle.info.zone_maps, condition, vocabs):
-                survivors.append(handle)
-            else:
-                rows_skipped += handle.n_rows
-        with self._stats_lock:
-            self._scans += 1
-            self._shards_scanned += len(self._handles)
-            self._shards_skipped += len(self._handles) - len(survivors)
-            self._rows_skipped += rows_skipped
-        return self._filter_shards(survivors, condition)
+        return self.plan_shard_select(condition)[0]
 
-    def _filter_shards(self, handles: list[_ShardHandle], condition) -> Table:
-        """Full-mask (oracle) filter over ``handles``, morsel-parallel.
-
-        With one worker — or at most one shard — this is exactly the serial
-        path: full left-to-right masks over the concatenated lazy columns.
-        With more, every shard evaluates the same masks over its own rows
-        concurrently and the per-shard selections concatenate in shard
-        order; predicates are row-local, so the result is byte-identical.
-        """
-        if worker_count() <= 1 or len(handles) <= 1:
-            if len(handles) == len(self._handles):
-                return super().select(condition)
-            return self._subset(handles).select(condition)
-        shard_tables = [self._subset([handle]) for handle in handles]
-        parts = map_morsels(lambda shard: shard.select(condition),
-                            shard_tables)
-        return self._merge_parts(parts)
-
-    def plan_shard_select(self, condition, mask_cache=None):
+    def plan_shard_select(self, condition):
         """Selectivity-aware scan: ``(filtered table, executed ScanPlan)``.
 
         Three-way decision per shard — zone-map skip, statistics-based skip
@@ -817,47 +780,29 @@ class ShardedTable(Table):
         shard survives and the pool is wider than one worker.  Both skip
         layers are conservative proofs, so the result equals the unplanned
         scan row for row.
-
-        ``mask_cache`` (the engine's per-version :class:`MaskCache`) serves
-        purely as a **store-code memo** here: repeated hot equality literals
-        skip the append-ordered store-vocabulary lookup entirely.
         """
         if not trace.enabled():
-            return self._plan_shard_select(condition, mask_cache=mask_cache)
+            return self._plan_shard_select(condition)
         with trace.trace_span("storage.shard_scan",
                               dataset=self.name) as span:
-            filtered, plan = self._plan_shard_select(condition,
-                                                     mask_cache=mask_cache)
+            filtered, plan = self._plan_shard_select(condition)
             span.set(shards_total=plan.shards_total,
                      zone_map_skipped=plan.shards_zone_map_skipped,
                      stats_skipped=plan.shards_stats_skipped,
                      rows_out=plan.rows_out)
         return filtered, plan
 
-    def _plan_shard_select(self, condition, mask_cache=None):
+    def _plan_shard_select(self, condition):
         predicates = [condition] if isinstance(condition, Predicate) else \
             list(condition.predicates)
         plan = plan_scan(self, condition, stats=table_stats(self))
         vocabs = self._manifest.vocabs
         # Resolve each equality literal's store code once, not once per
         # shard — the lookup scans the append-ordered store vocabulary.
-        resolved: list[tuple[Predicate, object]] = []
-        lookups = cached = 0
-        for p in predicates:
-            code = UNRESOLVED
-            if p.op in (Op.EQ, Op.NE) and p.attribute in vocabs:
-                lookups += 1
-                if mask_cache is not None:
-                    code, hit = mask_cache.resolved_store_code(
-                        p.attribute, p.value,
-                        lambda p=p: resolve_store_code(p.value,
-                                                       vocabs[p.attribute]))
-                    cached += hit
-                else:
-                    code = resolve_store_code(p.value, vocabs[p.attribute])
-            resolved.append((p, code))
-        if lookups:
-            GLOBAL_PLANNER_STATS.record_store_codes(lookups, cached)
+        resolved = [(p, resolve_store_code(p.value, vocabs[p.attribute])
+                     if p.op in (Op.EQ, Op.NE) and p.attribute in vocabs
+                     else UNRESOLVED)
+                    for p in predicates]
         ordered = plan.ordered_predicates
         indexed = self._any_indexes()
         survivors = []
@@ -1029,7 +974,7 @@ class ShardedTable(Table):
         no kernel) — bitmaps are exact row masks, so the concatenation is
         still bit-identical.
         """
-        if planner_enabled() and self._any_indexes() and self._handles:
+        if self._any_indexes() and self._handles:
             masks = [self._bitmap_for(handle, predicate)
                      for handle in self._handles]
             hits = sum(1 for mask in masks if mask is not None)

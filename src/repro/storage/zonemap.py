@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataframe import MISSING_CODE, Pattern, Predicate
+from repro.dataframe import MISSING_CODE, Predicate
 from repro.dataframe.predicates import Op
 
 NUMERIC = "numeric"
@@ -73,17 +73,6 @@ def shard_may_match(zone_map: dict | None, predicate: Predicate,
     return True
 
 
-def pattern_may_match(zone_maps: dict, pattern: Pattern | Predicate,
-                      vocabs: dict[str, list]) -> bool:
-    """Conjunction pushdown: every predicate must be satisfiable in the shard."""
-    predicates = [pattern] if isinstance(pattern, Predicate) else \
-        list(pattern.predicates)
-    return all(
-        shard_may_match(zone_maps.get(p.attribute), p, vocabs.get(p.attribute))
-        for p in predicates
-    )
-
-
 def _numeric_may_match(zone_map: dict, predicate: Predicate) -> bool:
     lo, hi = zone_map.get("min"), zone_map.get("max")
     if lo is None or hi is None:
@@ -93,7 +82,9 @@ def _numeric_may_match(zone_map: dict, predicate: Predicate) -> bool:
     except (TypeError, ValueError):
         return True  # evaluation will raise the same error it always did
     if np.isnan(target):
-        return False  # NaN compares False against everything
+        # NaN compares False against everything, so only ``!=`` matches —
+        # every non-missing value, and this shard has one.
+        return predicate.op is Op.NE
     op = predicate.op
     if op is Op.EQ:
         return lo <= target <= hi

@@ -1,9 +1,9 @@
 """Tests for adaptive re-planning and bitmap cracking (``repro.adapt``).
 
-Covers the ISSUE 10 checklist: feedback-corrected estimation (EWMA over
-telemetry actuals, drift-triggered re-planning), hot-predicate promotion to
-committed per-shard bitmap indexes with budget/LRU demotion, bitmap-served
-selects byte-identical to the oracle across worker widths (including
+Covers feedback-corrected estimation (EWMA over telemetry actuals),
+hot-predicate promotion to committed per-shard bitmap indexes with
+budget/LRU demotion, bitmap-served selects byte-identical to the unplanned
+``Table.select`` reference across worker widths (including
 post-append coverage and post-compact invalidation), telemetry-reader
 version filtering, the ``--per-conjunct`` obs view, and lock-order
 acyclicity with promotion concurrent with serving.
@@ -39,7 +39,6 @@ from repro.mining.treatments import TreatmentMinerConfig
 from repro.obs.telemetry import TelemetryLog, TelemetryReader
 from repro.parallel import workers
 from repro.plan import GLOBAL_PLANNER_STATS
-from repro.plan.config import oracle_mode
 from repro.service import ExplanationEngine
 from repro.storage import DatasetStore, StorageError
 from repro.storage.shard import pack_bitmap, unpack_bitmap
@@ -80,12 +79,10 @@ class TestAdaptiveConfig:
     def test_env_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_ADAPT", "0")
         monkeypatch.setenv("REPRO_ADAPT_HEAT", "7")
-        monkeypatch.setenv("REPRO_ADAPT_DRIFT", "0.5")
         monkeypatch.setenv("REPRO_ADAPT_INDEX_BUDGET", "4096")
         config = config_from_env()
         assert not config.enabled
         assert config.heat_threshold == 7
-        assert config.drift_threshold == 0.5
         assert config.index_budget_bytes == 4096
 
     def test_invalid_env_falls_back_to_default(self, monkeypatch):
@@ -111,7 +108,7 @@ class TestEstimateCorrector:
         corrector = EstimateCorrector()
         predicate = Predicate("Country", Op.EQ, "US")
         corrector.observe(self.INC, repr(predicate), 0.01, 0.9)
-        value, applied = corrector.correction(self.INC, predicate, 0.01)
+        value, applied = corrector.corrected(self.INC, predicate, 0.01)
         assert (value, applied) == (0.01, False)
 
     def test_ewma_replaces_estimate_after_min_observations(self):
@@ -119,7 +116,7 @@ class TestEstimateCorrector:
         predicate = Predicate("Country", Op.EQ, "US")
         for _ in range(3):
             corrector.observe(self.INC, repr(predicate), 0.01, 0.9)
-        value, applied = corrector.correction(self.INC, predicate, 0.01)
+        value, applied = corrector.corrected(self.INC, predicate, 0.01)
         assert applied
         assert value == pytest.approx(0.9)
 
@@ -128,7 +125,7 @@ class TestEstimateCorrector:
         predicate = Predicate("Age", Op.LT, 40.0)
         for _ in range(3):
             corrector.observe(self.INC, repr(predicate), 0.5, 7.0)
-        value, _ = corrector.correction(self.INC, predicate, 0.5)
+        value, _ = corrector.corrected(self.INC, predicate, 0.5)
         assert value == 1.0
 
     def test_incarnations_isolated(self):
@@ -137,18 +134,19 @@ class TestEstimateCorrector:
         for _ in range(3):
             corrector.observe(self.INC, repr(predicate), 0.01, 0.9)
         other = ("people", 500)  # same name, different row count
-        _, applied = corrector.correction(other, predicate, 0.01)
+        _, applied = corrector.corrected(other, predicate, 0.01)
         assert not applied
 
-    def test_corrected_counts_correction_does_not(self):
+    def test_corrected_counts_only_applied_corrections(self):
         corrector = EstimateCorrector()
         predicate = Predicate("Country", Op.EQ, "US")
-        for _ in range(3):
-            corrector.observe(self.INC, repr(predicate), 0.01, 0.9)
-        corrector.correction(self.INC, predicate, 0.01)
+        corrector.observe(self.INC, repr(predicate), 0.01, 0.9)
+        corrector.corrected(self.INC, predicate, 0.01)  # below the minimum
         assert corrector.snapshot()["corrections_served"] == 0
+        corrector.observe(self.INC, repr(predicate), 0.01, 0.9)
         corrector.corrected(self.INC, predicate, 0.01)
-        assert corrector.snapshot()["corrections_served"] == 1
+        corrector.corrected(self.INC, predicate, 0.01)
+        assert corrector.snapshot()["corrections_served"] == 2
 
     def test_observe_plan_skips_unexecuted_conjuncts(self):
         from types import SimpleNamespace
@@ -169,7 +167,7 @@ class TestEstimateCorrector:
         corrector = EstimateCorrector()
         predicate = Predicate("Country", Op.EQ, "US")
         corrector.observe(self.INC, repr(predicate), 0.01, 0.9, weight=5)
-        _, applied = corrector.correction(self.INC, predicate, 0.01)
+        _, applied = corrector.corrected(self.INC, predicate, 0.01)
         assert applied
 
 
@@ -301,8 +299,7 @@ class TestStoredIndexes:
         pattern = Pattern([Predicate("Country", Op.EQ, "US"),
                            Predicate("Age", Op.LE, 40.0),
                            Predicate("Role", Op.EQ, "Dev")])
-        with oracle_mode():
-            oracle = table.select(pattern)
+        oracle = Table.select(table, pattern)
         with workers(width):
             selected, plan = loaded.plan_shard_select(pattern)
         assert selected == oracle
@@ -320,8 +317,7 @@ class TestStoredIndexes:
         assert entry["shards"] == stats["shards_total"]  # new shard covered
         combined = _table().concat(batch)
         pattern = Pattern([Predicate("Country", Op.EQ, "US")])
-        with oracle_mode():
-            oracle = combined.select(pattern)
+        oracle = Table.select(combined, pattern)
         selected, _ = dataset.load_table().plan_shard_select(pattern)
         assert selected == oracle
 
@@ -333,8 +329,7 @@ class TestStoredIndexes:
         result = dataset.promote_index(Predicate("Country", Op.EQ, "US"))
         assert result["shards"] == len(dataset.manifest.shards)
         pattern = Pattern([Predicate("Country", Op.EQ, "US")])
-        with oracle_mode():
-            oracle = _table().select(pattern)
+        oracle = Table.select(_table(), pattern)
         selected, _ = dataset.load_table().plan_shard_select(pattern)
         assert selected == oracle
 
@@ -348,8 +343,7 @@ class TestStoredIndexes:
         assert loaded.predicate_index_keys() == set()
         pattern = Pattern([Predicate("Country", Op.EQ, "US")])
         selected, _ = loaded.plan_shard_select(pattern)
-        with oracle_mode():
-            assert selected == _table().select(pattern)
+        assert selected == Table.select(_table(), pattern)
 
 
 # ------------------------------------------------------------------ engine
@@ -393,8 +387,8 @@ class TestEngineAdaptiveLoop:
             assert planner["indexes_promoted"] >= 1
             assert planner["adaptive"]["enabled"]
             assert planner["adaptive"]["heat"]["serves_recorded"] > 0
-            # a fresh materialization (cached views dropped, as a drift
-            # purge would) now answers the WHERE from the live bitmaps
+            # a fresh materialization (cached views dropped) now answers
+            # the WHERE from the live bitmaps
             engine._view_cache.purge(lambda key: True)
             engine.explain(so_bundle.name, WHERE_SQL,
                            use_summary_cache=False)
@@ -402,15 +396,23 @@ class TestEngineAdaptiveLoop:
             assert state.table.scan_stats()["bitmap_conjuncts_served"] > 0
 
     def test_bitmap_served_summary_byte_identical_to_oracle(
-            self, store, so_bundle):
+            self, store, so_bundle, monkeypatch):
         with adaptive_overrides(heat_threshold=2):
             engine = ExplanationEngine.from_store(store, max_workers=1)
             for _ in range(3):
                 engine.explain(so_bundle.name, WHERE_SQL)
             adaptive = engine.explain(so_bundle.name, WHERE_SQL,
                                       use_summary_cache=False)
-        with oracle_mode():
-            oracle_engine = ExplanationEngine.from_store(store, max_workers=1)
+            state = engine.dataset_state(so_bundle.name)
+            assert state.table.predicate_index_keys()  # bitmaps were live
+        # Reference: the in-memory table (no shards, no bitmaps) with the
+        # view's WHERE run as a full-mask Table.select.
+        monkeypatch.setattr(
+            "repro.sql.view.planned_select_with_plan",
+            lambda table, condition: (Table.select(table, condition), None))
+        with adaptive_overrides(enabled=False):
+            oracle_engine = ExplanationEngine(max_workers=1)
+            oracle_engine.register_bundle(so_bundle, config=_small_config())
             oracle = oracle_engine.explain(so_bundle.name, WHERE_SQL)
         assert _payload(adaptive) == _payload(oracle)
 
@@ -431,35 +433,6 @@ class TestEngineAdaptiveLoop:
             planner = engine.stats()["planner"]
             assert planner["indexes_demoted"] >= 1
             assert planner["indexes_promoted"] >= 1
-
-    def test_drift_purges_cached_views_and_counts(self, store, so_bundle):
-        name = so_bundle.name
-        with adaptive_overrides(heat_threshold=10**6):
-            engine = ExplanationEngine.from_store(store, max_workers=1)
-            engine.explain(name, WHERE_SQL)
-            state = engine.dataset_state(name)
-            view = next(view for key, view in engine._view_cache.items()
-                        if key[0] == name)
-            conjunct = view.scan_plan.conjuncts[0]
-            # teach the corrector the cached plan's estimate is far off
-            # (enough observations to out-weigh the EWMA seed the serve
-            # itself contributed)
-            wrong = min(1.0, conjunct.estimated_selectivity + 0.9)
-            for _ in range(6):
-                GLOBAL_CORRECTOR.observe(
-                    (state.table.name, state.table.n_rows),
-                    repr(conjunct.predicate),
-                    conjunct.estimated_selectivity, wrong)
-            before = engine.stats()["view_cache"]["entries"]
-            engine.explain(name, WHERE_SQL)  # tick runs the drift check
-            planner = engine.stats()["planner"]
-            assert planner["drift_replans"] >= 1
-            # the re-planned view (recreated on the next serve) is stable
-            engine.explain(name, WHERE_SQL, use_summary_cache=False)
-            replans = engine.stats()["planner"]["drift_replans"]
-            engine.explain(name, WHERE_SQL, use_summary_cache=False)
-            assert engine.stats()["planner"]["drift_replans"] == replans
-            assert before >= 1
 
     def test_corrections_reach_plan_scan(self, store, so_bundle):
         name = so_bundle.name

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import lockwatch
-from repro.dataframe import MaskCache, Op, Pattern, Predicate, Table
+from repro.dataframe import Op, Pattern, Predicate, Table
 from repro.parallel import (
     GLOBAL_PARALLEL_STATS,
     default_workers,
@@ -33,7 +33,6 @@ from repro.parallel.blas import (
     blas_threads,
     single_threaded_blas,
 )
-from repro.plan import GLOBAL_PLANNER_STATS, oracle_mode
 from repro.service import ExplanationEngine
 from repro.sql import AggregateView, parse_query
 from repro.storage import DatasetStore, StoredDataset
@@ -177,8 +176,7 @@ class TestWorkerInvariance:
             for width in WIDTHS:
                 with workers(width):
                     planned = dataset.load_table().select(pattern)
-                    with oracle_mode():
-                        oracle = dataset.load_table().select(pattern)
+                    oracle = Table.select(dataset.load_table(), pattern)
                 results[width] = (planned, oracle)
             serial_planned, serial_oracle = results[1]
             assert serial_planned == serial_oracle
@@ -335,46 +333,6 @@ class TestSingleThreadedBlas:
                                  for value in table.domain(attr)[:2]])
         assert seen and set(seen) == {1}
         assert blas_threads() == before
-
-
-# ------------------------------------------------------------- store-code memo
-
-
-class TestStoreCodeMemo:
-    def test_repeated_predicates_hit_the_memo(self):
-        table = _people(300)
-        pattern = Pattern.of(("Country", "==", "US"), ("Role", "!=", "mgr"))
-        with tempfile.TemporaryDirectory() as tmp:
-            dataset = StoredDataset.create(f"{tmp}/d", "d", table,
-                                           shard_rows=50)
-            loaded = dataset.load_table()
-            cache = MaskCache(loaded)
-            before = GLOBAL_PLANNER_STATS.snapshot()
-            cold, _ = loaded.plan_shard_select(pattern, mask_cache=cache)
-            mid = GLOBAL_PLANNER_STATS.snapshot()
-            warm, _ = loaded.plan_shard_select(pattern, mask_cache=cache)
-            after = GLOBAL_PLANNER_STATS.snapshot()
-        assert cold == warm
-        cold_lookups = mid["store_code_lookups"] - before["store_code_lookups"]
-        cold_cached = mid["store_code_cached"] - before["store_code_cached"]
-        warm_lookups = after["store_code_lookups"] - mid["store_code_lookups"]
-        warm_cached = after["store_code_cached"] - mid["store_code_cached"]
-        assert cold_lookups == 2 and cold_cached == 0
-        assert warm_lookups == 2 and warm_cached == 2
-
-    def test_memo_disabled_without_cache(self):
-        table = _people(100)
-        with tempfile.TemporaryDirectory() as tmp:
-            dataset = StoredDataset.create(f"{tmp}/d", "d", table,
-                                           shard_rows=30)
-            loaded = dataset.load_table()
-            before = GLOBAL_PLANNER_STATS.snapshot()
-            loaded.plan_shard_select(Predicate("Country", Op.EQ, "US"))
-            loaded.plan_shard_select(Predicate("Country", Op.EQ, "US"))
-            after = GLOBAL_PLANNER_STATS.snapshot()
-        assert after["store_code_lookups"] - \
-            before["store_code_lookups"] == 2
-        assert after["store_code_cached"] == before["store_code_cached"]
 
 
 # ------------------------------------------------------------------- partials

@@ -2,11 +2,12 @@
 
 The load-bearing property is *semantic transparency*: planned execution
 (conjunct reordering, short-circuit AND, statistics-based shard skips,
-stats-deferred lattice atoms) must return exactly what the pre-planner
-oracle paths return, on every table shape the paper's workload can produce —
+stats-deferred lattice atoms) must return exactly what an unplanned scan
+returns, on every table shape the paper's workload can produce —
 all-missing columns, single-value columns, NaN histogram boundaries, empty
-WHERE clauses included.  The oracle stays reachable through
-``repro.plan.oracle_mode``.
+WHERE clauses included.  The reference is the base-class ``Table.select``
+(one full mask per predicate, no planning, no shard pruning), called
+explicitly so a ``ShardedTable``'s planned override is bypassed.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from repro.plan import (
     NumericColumnStats,
     lower_query,
     merge_column_stats,
-    oracle_mode,
     plan_scan,
     planned_select,
     planned_select_with_plan,
-    planner_enabled,
     stats_from_dict,
     stats_to_dict,
     table_stats,
@@ -136,6 +135,20 @@ class TestColumnStats:
         stats = NumericColumnStats.from_values(np.arange(10.0))
         assert stats.selectivity(Op.LE, float("nan")) == 0.0
 
+    def test_nan_target_not_equal_matches_every_present_value(self, store):
+        values = [1.0, np.nan, 3.0, 4.0] * 5
+        stats = NumericColumnStats.from_values(np.array(values))
+        assert stats.selectivity(Op.NE, float("nan")) == 0.75
+        table = Table.from_columns({"num": values, "g": ["a", "b"] * 10})
+        dataset = store.import_table("nan", table, shard_rows=4)
+        pattern = Pattern([Predicate("num", Op.NE, float("nan"))])
+        expected = Table.select(table, pattern)
+        assert expected.n_rows == 15
+        assert dataset.load_table().select(pattern) == expected
+        for shard in dataset.manifest.shards:  # statistics alone decide
+            shard.zone_maps = {}
+        assert dataset.load_table().select(pattern) == expected
+
     def test_categorical_full_counts_are_exact(self):
         codes = np.array([0, 0, 1, 2, 2, 2, -1], dtype=np.int32)
         stats = CategoricalColumnStats.from_codes(codes)
@@ -198,18 +211,8 @@ class TestColumnStats:
         assert stats.selectivity(pred) == 1.0      # conservative, and...
         assert not any(column.materialized         # ...no shard was decoded
                        for column in loaded.columns())
-        with oracle_mode():
-            expected = dataset.load_table().select(Pattern([pred]))
+        expected = Table.select(dataset.load_table(), Pattern([pred]))
         assert loaded.select(Pattern([pred])) == expected
-
-    def test_exact_support_from_table_stats(self):
-        table = Table.from_columns({"c": ["a"] * 7 + ["b"] * 3 + [None]})
-        stats = table_stats(table)
-        assert stats.exact_support(Predicate("c", Op.EQ, "a")) == 7
-        assert stats.exact_support(Predicate("c", Op.NE, "a")) == 3
-        assert stats.exact_support(Predicate("c", Op.EQ, "zz")) == 0
-        # Missing rows satisfy neither EQ nor NE.
-        assert stats.exact_support(Predicate("c", Op.NE, "zz")) == 10
 
 
 # ---------------------------------------------------------------------- planner
@@ -292,6 +295,13 @@ def _random_pattern(data, rng, table) -> Pattern:
     return Pattern(predicates)
 
 
+def _unplanned_views(monkeypatch) -> None:
+    """Make ``AggregateView`` run its WHERE clause through the reference."""
+    monkeypatch.setattr(
+        "repro.sql.view.planned_select_with_plan",
+        lambda table, condition: (Table.select(table, condition), None))
+
+
 class TestPlannedEqualsOracle:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -299,23 +309,7 @@ class TestPlannedEqualsOracle:
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
         table = _random_table(rng, data.draw(st.integers(1, 80)))
         pattern = _random_pattern(data, rng, table)
-        planned = planned_select(table, pattern)
-        with oracle_mode():
-            oracle = table.select(pattern)
-        assert planned == oracle
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_mask_cache_routing_equals_oracle(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-        table = _random_table(rng, data.draw(st.integers(1, 60)))
-        pattern = _random_pattern(data, rng, table)
-        cache = MaskCache(table)
-        first = planned_select(table, pattern, mask_cache=cache)
-        second = planned_select(table, pattern, mask_cache=cache)  # warm
-        with oracle_mode():
-            oracle = table.select(pattern)
-        assert first == oracle and second == oracle
+        assert planned_select(table, pattern) == Table.select(table, pattern)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -330,23 +324,23 @@ class TestPlannedEqualsOracle:
                 f"{tmp}/d", "d", table,
                 shard_rows=data.draw(st.integers(3, 30)))
             planned = dataset.load_table().select(pattern)
-            with oracle_mode():
-                oracle = dataset.load_table().select(pattern)
+            oracle = Table.select(dataset.load_table(), pattern)
             assert planned == oracle
 
-    def test_aggregate_view_equals_oracle_view(self):
+    def test_aggregate_view_equals_oracle_view(self, monkeypatch):
         bundle = load_dataset("stackoverflow", n=800, seed=0)
         query = parse_query(
             "SELECT Country, AVG(Salary) FROM SO "
             "WHERE Gender = 'Male' AND Continent != 'Asia' GROUP BY Country")
         planned = AggregateView(bundle.table, query)
-        with oracle_mode():
-            oracle = AggregateView(bundle.table, query)
+        _unplanned_views(monkeypatch)
+        oracle = AggregateView(bundle.table, query)
         assert planned.groups == oracle.groups
         assert planned.table == oracle.table
         assert planned.scan_plan is not None and oracle.scan_plan is None
 
-    def test_stackoverflow_summary_byte_identical_to_oracle(self):
+    def test_stackoverflow_summary_byte_identical_to_oracle(
+            self, monkeypatch):
         bundle = load_dataset("stackoverflow", n=600, seed=0)
         config = CauSumXConfig(
             k=3, theta=0.6, sample_size=None, min_group_size=10,
@@ -361,8 +355,8 @@ class TestPlannedEqualsOracle:
                 treatment_attributes=bundle.treatment_attributes)
 
         planned = summary_to_dict(run())
-        with oracle_mode():
-            oracle = summary_to_dict(run())
+        _unplanned_views(monkeypatch)
+        oracle = summary_to_dict(run())
         planned.pop("timings", None), oracle.pop("timings", None)
         assert planned == oracle
 
@@ -387,12 +381,13 @@ class TestLatticeStatsDeferral:
         planned = PatternLattice(table, ["t", "many"],
                                  mask_cache=MaskCache(table),
                                  **kwargs).atomic_predicates()
-        with oracle_mode():
-            oracle = PatternLattice(table, ["t", "many"],
-                                    mask_cache=MaskCache(table),
-                                    **kwargs).atomic_predicates()
+        # Reference: every atom, kept when its evaluated mask has support.
+        unpruned = PatternLattice(table, ["t", "many"],
+                                  **kwargs).atomic_predicates()
+        oracle = [p for p in unpruned
+                  if Table.mask(table, p).sum() >= kwargs["min_support"]]
         assert planned == oracle
-        assert all(p.evaluate(table).sum() >= 15 for p in planned)
+        assert len(oracle) < len(unpruned)  # the support floor bit
 
     def test_low_support_atoms_deferred_without_mask_evaluation(self):
         table = self._table()
@@ -452,9 +447,8 @@ class TestStatsFreshnessAfterAppend:
         reloaded = dataset.load_table()
         after = plan_scan(reloaded, pattern, stats=table_stats(reloaded))
         assert after.conjuncts[0].predicate.attribute == "b"
-        # And the planned scan still matches the oracle on the new data.
-        with oracle_mode():
-            oracle = dataset.load_table().select(pattern)
+        # And the planned scan still matches the reference on the new data.
+        oracle = Table.select(dataset.load_table(), pattern)
         assert reloaded.select(pattern) == oracle
 
     def test_engine_append_refreshes_in_memory_estimates(self):
@@ -513,8 +507,7 @@ class TestCompaction:
         dataset = store.import_table("c", table, shard_rows=250)
         pattern = Pattern.of(("tenant", "==", "t3"))
         unclustered = dataset.load_table()
-        with oracle_mode():
-            expected = unclustered.select(pattern)
+        expected = Table.select(unclustered, pattern)
         result = dataset.compact(cluster_by="tenant", shard_rows=250)
         assert result["cluster_by"] == "tenant"
         dataset.reload()
@@ -583,7 +576,6 @@ class TestEngineIntegration:
             "so", "SELECT Country, AVG(Salary) FROM SO "
                   "WHERE Gender = 'Male' AND Continent != 'Asia' "
                   "GROUP BY Country")
-        assert report["planner_enabled"] is planner_enabled()
         assert "Scan(" in report["logical_plan"]
         conjuncts = report["scan"]["conjuncts"]
         assert len(conjuncts) == 2
@@ -591,17 +583,6 @@ class TestEngineIntegration:
             assert 0.0 <= conjunct["estimated_selectivity"] <= 1.0
             assert conjunct["actual_selectivity"] is not None
         assert report["rows"]["filtered"] <= report["rows"]["table"]
-
-    def test_explain_plan_reexecutes_views_cached_under_oracle_mode(
-            self, engine):
-        sql = ("SELECT Country, AVG(Salary) FROM SO "
-               "WHERE Gender = 'Male' GROUP BY Country")
-        with oracle_mode():
-            engine.explain_plan("so", sql)  # caches a plan-less oracle view
-        report = engine.explain_plan("so", sql)
-        assert report["planner_enabled"] is True
-        assert report["scan"] is not None  # re-executed, not served stale
-        assert report["scan"]["conjuncts"][0]["actual_selectivity"] is not None
 
     def test_explain_plan_op_over_the_protocol(self, engine):
         response = handle_request(
@@ -616,18 +597,8 @@ class TestEngineIntegration:
             "so", "SELECT Country, AVG(Salary) FROM SO "
                   "WHERE Gender = 'Male' GROUP BY Country")
         planner = engine.stats()["planner"]
-        assert planner["enabled"] is True
         assert planner["plans"] >= 1
         assert "shards_zone_map_skipped" in planner
-        assert "so" in planner["where_mask_caches"]
-
-    def test_where_mask_cache_shared_across_queries(self, engine):
-        for group_by in ("Country", "Continent"):
-            engine.explain_plan(
-                "so", f"SELECT {group_by}, AVG(Salary) FROM SO "
-                      "WHERE Gender = 'Male' GROUP BY " + group_by)
-        caches = engine.stats()["planner"]["where_mask_caches"]
-        assert caches["so"]["hits"] >= 1  # second query reused the mask
 
     def test_plan_fingerprints_dedupe_spellings(self, engine):
         spellings = [

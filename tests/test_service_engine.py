@@ -17,6 +17,7 @@ from repro.service import (
     run_batch,
     serve_loop,
 )
+from repro.storage import DatasetStore
 
 
 def _summary_payload(summary) -> str:
@@ -277,6 +278,38 @@ class TestAppendRows:
         assert table.is_numeric("Salary")
         # The engine still serves the dataset afterwards.
         assert engine.explain("stackoverflow", BASE_QUERY) is not None
+
+
+class TestWhereMatchingNoRow:
+    """A WHERE clause no row satisfies yields an empty summary, not an error."""
+
+    @pytest.mark.parametrize("where", [
+        "Continent = 'Atlantis'",                 # literal absent everywhere
+        "Gender = 'Male' AND Salary > 1000000000",  # numeric range, 2 conjuncts
+    ])
+    def test_in_memory_and_fully_skipped_store_agree(self, so_small, tmp_path,
+                                                     where):
+        sql = f"SELECT Country, AVG(Salary) FROM SO WHERE {where} GROUP BY Country"
+        memory = ExplanationEngine(max_workers=1)
+        memory.register_bundle(so_small, config=small_config())
+        store = DatasetStore.init(tmp_path / "store")
+        store.import_bundle(so_small, config=small_config(), shard_rows=200)
+        stored = ExplanationEngine.from_store(store, max_workers=1)
+        payloads = []
+        for engine in (memory, stored):
+            payload = _summary_payload(engine.explain(so_small.name, sql))
+            assert json.loads(payload)["patterns"] == []
+            assert json.loads(payload)["groups"] == []
+            payloads.append(payload)
+            report = engine.explain_plan(so_small.name, sql)
+            assert report["rows"]["filtered"] == 0
+            assert report["groups"] == 0
+        assert payloads[0] == payloads[1]
+        shards = stored.explain_plan(so_small.name, sql)["scan"]["shards"]
+        assert shards["total"] == 4
+        assert shards["zone_map_skipped"] == 4 and shards["scanned"] == 0
+        scan = stored.dataset_state(so_small.name).table.scan_stats()
+        assert scan["shards_open"] == 0  # no shard was decoded
 
 
 class TestServerProtocol:
